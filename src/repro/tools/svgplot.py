@@ -9,11 +9,86 @@ matplotlib.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 _COLORS = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
     "#8c564b", "#7f7f7f", "#17becf",
 )
+
+
+class _Svg:
+    def to_svg(self) -> str:
+        raise NotImplementedError
+
+    def save(self, path) -> None:
+        with open(path, "w") as handle:
+            handle.write(self.to_svg())
+
+
+class _Chart(_Svg):
+    """The frame and value axis the line and bar charts share."""
+
+    title: str
+    x_label: str
+    y_label: str
+    width: int
+    height: int
+    margin: int
+
+    def _frame(self) -> list[str]:
+        """Canvas, title, both axes and their labels."""
+        m = self.margin
+        return [
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
+            f'height="{self.height}" font-family="sans-serif" font-size="12">',
+            f'<rect width="{self.width}" height="{self.height}" fill="white"/>',
+            f'<text x="{self.width / 2}" y="20" text-anchor="middle" '
+            f'font-size="14" font-weight="bold">{self.title}</text>',
+            f'<line x1="{m}" y1="{self.height - m}" x2="{self.width - m}" '
+            f'y2="{self.height - m}" stroke="black"/>',
+            f'<line x1="{m}" y1="{m}" x2="{m}" y2="{self.height - m}" '
+            'stroke="black"/>',
+            f'<text x="{self.width / 2}" y="{self.height - 12}" '
+            f'text-anchor="middle">{self.x_label}</text>',
+            f'<text x="16" y="{self.height / 2}" text-anchor="middle" '
+            f'transform="rotate(-90 16 {self.height / 2})">{self.y_label}</text>',
+        ]
+
+    def _y_tick(self, y_pix: float, y_val: float) -> list[str]:
+        m = self.margin
+        return [
+            f'<line x1="{m - 4}" y1="{y_pix:.1f}" x2="{m}" '
+            f'y2="{y_pix:.1f}" stroke="black"/>',
+            f'<text x="{m - 8}" y="{y_pix + 4:.1f}" '
+            f'text-anchor="end">{y_val:g}</text>',
+        ]
+
+    def _bar_frame(
+        self, totals: list[float]
+    ) -> tuple[list[str], Callable[[float], float], list[float], float]:
+        """Frame plus a zero-based value axis over the bar ``totals``.
+
+        Also returns each bar's left edge and the common bar width.
+        """
+        m = self.margin
+        plot_h = self.height - 2 * m
+        y_max = max(totals, default=0.0)
+        if y_max <= 0:
+            y_max = 1.0
+        y_max *= 1.08
+
+        def sy(y: float) -> float:
+            return self.height - m - y / y_max * plot_h
+
+        parts = self._frame()
+        for i in range(6):
+            y_val = y_max * i / 5
+            parts += self._y_tick(sy(y_val), y_val)
+        slot = (self.width - 2 * m) / max(len(totals), 1)
+        bar_w = max(4.0, slot * 0.6)
+        lefts = [m + index * slot + (slot - bar_w) / 2 for index in range(len(totals))]
+        return parts, sy, lefts, bar_w
 
 
 @dataclass
@@ -24,7 +99,7 @@ class Series:
 
 
 @dataclass
-class LineChart:
+class LineChart(_Chart):
     """A simple multi-series line chart with axes and a legend."""
 
     title: str
@@ -68,22 +143,7 @@ class LineChart:
         def sy(y: float) -> float:
             return self.height - m - (y - y_min) / (y_max - y_min) * plot_h
 
-        parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}" font-family="sans-serif" font-size="12">',
-            f'<rect width="{self.width}" height="{self.height}" fill="white"/>',
-            f'<text x="{self.width / 2}" y="20" text-anchor="middle" '
-            f'font-size="14" font-weight="bold">{self.title}</text>',
-            # axes
-            f'<line x1="{m}" y1="{self.height - m}" x2="{self.width - m}" '
-            f'y2="{self.height - m}" stroke="black"/>',
-            f'<line x1="{m}" y1="{m}" x2="{m}" y2="{self.height - m}" '
-            'stroke="black"/>',
-            f'<text x="{self.width / 2}" y="{self.height - 12}" '
-            f'text-anchor="middle">{self.x_label}</text>',
-            f'<text x="16" y="{self.height / 2}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {self.height / 2})">{self.y_label}</text>',
-        ]
+        parts = self._frame()
         # ticks: 5 on each axis
         for i in range(6):
             x_val = x_min + (x_max - x_min) * i / 5
@@ -97,14 +157,7 @@ class LineChart:
                 f'<text x="{x_pix:.1f}" y="{self.height - m + 16}" '
                 f'text-anchor="middle">{x_val:g}</text>'
             )
-            parts.append(
-                f'<line x1="{m - 4}" y1="{y_pix:.1f}" x2="{m}" '
-                f'y2="{y_pix:.1f}" stroke="black"/>'
-            )
-            parts.append(
-                f'<text x="{m - 8}" y="{y_pix + 4:.1f}" '
-                f'text-anchor="end">{y_val:g}</text>'
-            )
+            parts += self._y_tick(y_pix, y_val)
         # series
         for index, series in enumerate(self.series):
             color = _COLORS[index % len(_COLORS)]
@@ -129,13 +182,9 @@ class LineChart:
         parts.append("</svg>")
         return "\n".join(parts)
 
-    def save(self, path) -> None:
-        with open(path, "w") as handle:
-            handle.write(self.to_svg())
-
 
 @dataclass
-class BarChart:
+class BarChart(_Chart):
     """Labeled vertical bars with axes and per-bar value captions."""
 
     title: str
@@ -151,73 +200,30 @@ class BarChart:
 
     def to_svg(self) -> str:
         m = self.margin
-        plot_w = self.width - 2 * m
-        plot_h = self.height - 2 * m
-        y_max = max((value for __, value in self.bars), default=0.0)
-        if y_max <= 0:
-            y_max = 1.0
-        y_max *= 1.08
-
-        def sy(y: float) -> float:
-            return self.height - m - y / y_max * plot_h
-
-        parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}" font-family="sans-serif" font-size="12">',
-            f'<rect width="{self.width}" height="{self.height}" fill="white"/>',
-            f'<text x="{self.width / 2}" y="20" text-anchor="middle" '
-            f'font-size="14" font-weight="bold">{self.title}</text>',
-            f'<line x1="{m}" y1="{self.height - m}" x2="{self.width - m}" '
-            f'y2="{self.height - m}" stroke="black"/>',
-            f'<line x1="{m}" y1="{m}" x2="{m}" y2="{self.height - m}" '
-            'stroke="black"/>',
-            f'<text x="{self.width / 2}" y="{self.height - 12}" '
-            f'text-anchor="middle">{self.x_label}</text>',
-            f'<text x="16" y="{self.height / 2}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {self.height / 2})">{self.y_label}</text>',
-        ]
-        for i in range(6):
-            y_val = y_max * i / 5
-            y_pix = sy(y_val)
+        parts, sy, lefts, bar_w = self._bar_frame([value for __, value in self.bars])
+        for index, ((label, value), x) in enumerate(zip(self.bars, lefts)):
+            color = _COLORS[index % len(_COLORS)]
+            top = sy(max(0.0, value))
+            bar_h = self.height - m - top
             parts.append(
-                f'<line x1="{m - 4}" y1="{y_pix:.1f}" x2="{m}" '
-                f'y2="{y_pix:.1f}" stroke="black"/>'
+                f'<rect x="{x:.1f}" y="{top:.1f}" width="{bar_w:.1f}" '
+                f'height="{bar_h:.1f}" fill="{color}"/>'
+            )
+            cx = x + bar_w / 2
+            parts.append(
+                f'<text x="{cx:.1f}" y="{top - 4:.1f}" '
+                f'text-anchor="middle" font-size="10">{value:g}</text>'
             )
             parts.append(
-                f'<text x="{m - 8}" y="{y_pix + 4:.1f}" '
-                f'text-anchor="end">{y_val:g}</text>'
+                f'<text x="{cx:.1f}" y="{self.height - m + 16}" '
+                f'text-anchor="middle">{label}</text>'
             )
-        if self.bars:
-            slot = plot_w / len(self.bars)
-            bar_w = max(4.0, slot * 0.6)
-            for index, (label, value) in enumerate(self.bars):
-                color = _COLORS[index % len(_COLORS)]
-                x = m + index * slot + (slot - bar_w) / 2
-                top = sy(max(0.0, value))
-                bar_h = self.height - m - top
-                parts.append(
-                    f'<rect x="{x:.1f}" y="{top:.1f}" width="{bar_w:.1f}" '
-                    f'height="{bar_h:.1f}" fill="{color}"/>'
-                )
-                cx = x + bar_w / 2
-                parts.append(
-                    f'<text x="{cx:.1f}" y="{top - 4:.1f}" '
-                    f'text-anchor="middle" font-size="10">{value:g}</text>'
-                )
-                parts.append(
-                    f'<text x="{cx:.1f}" y="{self.height - m + 16}" '
-                    f'text-anchor="middle">{label}</text>'
-                )
         parts.append("</svg>")
         return "\n".join(parts)
 
-    def save(self, path) -> None:
-        with open(path, "w") as handle:
-            handle.write(self.to_svg())
-
 
 @dataclass
-class StackedBarChart:
+class StackedBarChart(_Chart):
     """Vertical bars stacked by category (the latency-waterfall style).
 
     ``categories`` fixes both the stacking order (bottom-up) and the
@@ -242,68 +248,28 @@ class StackedBarChart:
 
     def to_svg(self) -> str:
         m = self.margin
-        plot_w = self.width - 2 * m
-        plot_h = self.height - 2 * m
-        y_max = max(
-            (sum(segments.values()) for __, segments in self.bars),
-            default=0.0,
+        parts, sy, lefts, bar_w = self._bar_frame(
+            [sum(segments.values()) for __, segments in self.bars]
         )
-        if y_max <= 0:
-            y_max = 1.0
-        y_max *= 1.08
-
-        def sy(y: float) -> float:
-            return self.height - m - y / y_max * plot_h
-
-        parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}" font-family="sans-serif" font-size="12">',
-            f'<rect width="{self.width}" height="{self.height}" fill="white"/>',
-            f'<text x="{self.width / 2}" y="20" text-anchor="middle" '
-            f'font-size="14" font-weight="bold">{self.title}</text>',
-            f'<line x1="{m}" y1="{self.height - m}" x2="{self.width - m}" '
-            f'y2="{self.height - m}" stroke="black"/>',
-            f'<line x1="{m}" y1="{m}" x2="{m}" y2="{self.height - m}" '
-            'stroke="black"/>',
-            f'<text x="{self.width / 2}" y="{self.height - 12}" '
-            f'text-anchor="middle">{self.x_label}</text>',
-            f'<text x="16" y="{self.height / 2}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {self.height / 2})">{self.y_label}</text>',
-        ]
-        for i in range(6):
-            y_val = y_max * i / 5
-            y_pix = sy(y_val)
-            parts.append(
-                f'<line x1="{m - 4}" y1="{y_pix:.1f}" x2="{m}" '
-                f'y2="{y_pix:.1f}" stroke="black"/>'
-            )
-            parts.append(
-                f'<text x="{m - 8}" y="{y_pix + 4:.1f}" '
-                f'text-anchor="end">{y_val:g}</text>'
-            )
-        if self.bars:
-            slot = plot_w / len(self.bars)
-            bar_w = max(4.0, slot * 0.6)
-            for index, (label, segments) in enumerate(self.bars):
-                x = m + index * slot + (slot - bar_w) / 2
-                running = 0.0
-                for category in self.categories:
-                    value = segments.get(category, 0.0)
-                    if value <= 0:
-                        continue
-                    top = sy(running + value)
-                    seg_h = sy(running) - top
-                    parts.append(
-                        f'<rect x="{x:.1f}" y="{top:.1f}" '
-                        f'width="{bar_w:.1f}" height="{seg_h:.1f}" '
-                        f'fill="{self.color(category)}"/>'
-                    )
-                    running += value
+        for (label, segments), x in zip(self.bars, lefts):
+            running = 0.0
+            for category in self.categories:
+                value = segments.get(category, 0.0)
+                if value <= 0:
+                    continue
+                top = sy(running + value)
+                seg_h = sy(running) - top
                 parts.append(
-                    f'<text x="{x + bar_w / 2:.1f}" '
-                    f'y="{self.height - m + 16}" '
-                    f'text-anchor="middle" font-size="10">{label}</text>'
+                    f'<rect x="{x:.1f}" y="{top:.1f}" '
+                    f'width="{bar_w:.1f}" height="{seg_h:.1f}" '
+                    f'fill="{self.color(category)}"/>'
                 )
+                running += value
+            parts.append(
+                f'<text x="{x + bar_w / 2:.1f}" '
+                f'y="{self.height - m + 16}" '
+                f'text-anchor="middle" font-size="10">{label}</text>'
+            )
         for index, category in enumerate(self.categories):
             legend_y = self.margin + 8 + index * 16
             parts.append(
@@ -317,13 +283,9 @@ class StackedBarChart:
         parts.append("</svg>")
         return "\n".join(parts)
 
-    def save(self, path) -> None:
-        with open(path, "w") as handle:
-            handle.write(self.to_svg())
-
 
 @dataclass
-class GridMap:
+class GridMap(_Svg):
     """A colored-cell grid (the Figure 2 memory-footprint style).
 
     ``cells`` is a flat list of category keys; ``palette`` maps each
@@ -372,7 +334,3 @@ class GridMap:
             legend_x += 14 + 8 * len(label) + 16
         parts.append("</svg>")
         return "\n".join(parts)
-
-    def save(self, path) -> None:
-        with open(path, "w") as handle:
-            handle.write(self.to_svg())

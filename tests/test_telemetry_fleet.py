@@ -28,7 +28,7 @@ from repro.telemetry import (
     summarize_events,
     to_jsonl,
 )
-from repro.tools import telemetry_cli
+from repro.tools import campaign, telemetry_cli
 from repro.workloads import SECOND_NS, TimelineEvent, run_request_timeline
 
 SIZE = 2
@@ -212,11 +212,11 @@ class TestTelemetryCli:
         path.write_text("")
         assert telemetry_cli.main(["check", str(path)]) == 1
 
-    def test_run_mode_rejects_short_duration(self, tmp_path):
-        import pytest
-
-        with pytest.raises(SystemExit):
-            telemetry_cli.main(
-                ["run", "--duration", "10",
-                 "--output", str(tmp_path / "out.json")]
-            )
+    def test_run_mode_rejects_short_duration(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        code = campaign.main(
+            ["telemetry", "--duration", "10", "--output", str(out)]
+        )
+        assert code == 2
+        assert "--duration must be >= 24" in capsys.readouterr().out
+        assert not out.exists()

@@ -204,11 +204,11 @@ class TestDynalintJson:
 
 class TestFleetCli:
     def test_rollout_writes_clean_report(self, tmp_path, capsys):
-        from repro.tools import fleet_cli
+        from repro.tools import campaign
 
         out = tmp_path / "fleet.json"
-        code = fleet_cli.main([
-            "rollout", "--size", "2", "--max-unavailable", "1",
+        code = campaign.main([
+            "fleet-rollout", "--size", "2", "--max-unavailable", "1",
             "--duration", "20", "--probe-requests", "2",
             "--output", str(out),
         ])
@@ -220,11 +220,11 @@ class TestFleetCli:
         assert "CLEAN" in capsys.readouterr().out
 
     def test_rollout_with_fault_expects_abort(self, tmp_path, capsys):
-        from repro.tools import fleet_cli
+        from repro.tools import campaign
 
         out = tmp_path / "fleet.json"
-        code = fleet_cli.main([
-            "rollout", "--size", "2", "--duration", "20",
+        code = campaign.main([
+            "fleet-rollout", "--size", "2", "--duration", "20",
             "--probe-requests", "2",
             "--fault", "restore.memory:permanent",
             "--output", str(out),
@@ -235,11 +235,11 @@ class TestFleetCli:
         assert payload["clean"]
 
     def test_drift_mode_reenables(self, tmp_path, capsys):
-        from repro.tools import fleet_cli
+        from repro.tools import campaign
 
         out = tmp_path / "fleet.json"
-        code = fleet_cli.main([
-            "drift", "--size", "2", "--duration", "8",
+        code = campaign.main([
+            "fleet-drift", "--size", "2", "--duration", "8",
             "--probe-requests", "2", "--output", str(out),
         ])
         assert code == 0
@@ -247,34 +247,41 @@ class TestFleetCli:
         assert payload["drift"]["triggered"]
         assert payload["feature_served_after_reenable"]
 
-    def test_unknown_fault_site_rejected(self, tmp_path):
-        from repro.tools import fleet_cli
+    def test_unknown_fault_site_rejected(self, tmp_path, capsys):
+        from repro.tools import campaign
 
-        with pytest.raises(SystemExit):
-            fleet_cli.main([
-                "rollout", "--size", "2", "--fault", "bogus.site",
-                "--output", str(tmp_path / "x.json"),
-            ])
+        out = tmp_path / "x.json"
+        code = campaign.main([
+            "fleet-rollout", "--size", "2", "--fault", "bogus.site",
+            "--output", str(out),
+        ])
+        assert code == 2
+        assert "unknown fault site 'bogus.site'" in capsys.readouterr().out
+        assert not out.exists()
 
 
 class TestShelveCli:
-    # the full campaign runs as its own CI job (shelve-chaos); here we
-    # only pin the argument contract
+    # the full campaign runs in the CI scenario matrix; here we only
+    # pin the argument contract
     def test_single_instance_fleet_rejected(self, capsys):
-        from repro.tools import shelve_cli
+        from repro.tools import campaign
 
-        assert shelve_cli.main(["--size", "1"]) == 2
+        assert campaign.main(["shelve", "--size", "1"]) == 2
         assert "--size must be >= 2" in capsys.readouterr().out
 
     def test_put_mix_bounds_rejected(self, capsys):
-        from repro.tools import shelve_cli
+        from repro.tools import campaign
 
-        assert shelve_cli.main(["--put-mix", "0"]) == 2
-        assert shelve_cli.main(["--put-mix", "1.5"]) == 2
+        assert campaign.main(["shelve", "--put-mix", "0"]) == 2
+        assert campaign.main(["shelve", "--put-mix", "1.5"]) == 2
 
-    def test_check_mode_collapses_to_one_seed(self):
-        from repro.tools import shelve_cli
+    def test_check_mode_sizes_one_quick_seed(self):
+        from repro.tools import campaign
 
-        parser = shelve_cli.build_parser()
-        args = parser.parse_args(["--check"])
-        assert args.check and args.seeds == 3  # collapsed inside main()
+        scenarios = campaign.scenarios()
+        args = campaign.build_parser().parse_args(
+            ["shelve", "--check", "--seeds", "5"]
+        )
+        assert campaign.prepare(scenarios["shelve"], args) is None
+        assert args.seeds == 1 and args.output is None
+        assert len(scenarios["shelve"].units(args)) == 3  # one per action
