@@ -6,11 +6,23 @@ The memory model mirrors what CRIU sees through ``/proc/pid/maps`` and
 * an :class:`AddressSpace` is a sparse set of 4 KiB pages plus a sorted
   list of :class:`VMA` regions carrying permissions and (optionally)
   file-backing metadata;
+* a page table maps every mapped page index to the VMA covering it.
+  ``mmap``, ``munmap``, ``mprotect`` and construction (so ``clone`` and
+  CRIU restore too) keep it in step with the VMA list, so finding the
+  VMA of an address is one dictionary probe;
 * permission checks distinguish read/write/execute, so executing an
-  unmapped or non-executable address faults exactly like on Linux;
-* writes that touch executable pages bump ``code_epoch`` so the CPU's
-  decode cache is invalidated — this is what makes an ``int3`` patched
-  into a restored image take effect immediately.
+  unmapped or non-executable address faults exactly like on Linux.
+  ``read``, ``write`` and ``fetch`` serve an access that stays inside
+  one page with one table probe, one permission test and one slice;
+  anything else (a page-straddling access, or one that faults) takes
+  the checked page walk, which raises every :class:`MemoryFault`;
+* ``code_epoch`` moves only when executable memory changes, and the
+  CPU's decode cache is keyed on it.  It is bumped by a store of at
+  least one byte that touches an executable page (guest ``write`` or
+  kernel ``write_raw``: this is what makes an ``int3`` patched into a
+  restored image take effect immediately), by mapping or unmapping an
+  executable VMA, and by an ``mprotect`` whose range overlaps a VMA
+  that is executable before or after the change.
 """
 
 from __future__ import annotations
@@ -19,6 +31,7 @@ from dataclasses import dataclass, field, replace
 
 PAGE_SIZE = 4096
 PAGE_SHIFT = 12
+_PAGE_MASK = PAGE_SIZE - 1
 
 
 class MemoryFault(Exception):
@@ -101,15 +114,21 @@ class AddressSpace:
     #: CPU decode cache: address -> (code_epoch, DecodedInstruction); never
     #: serialized or forked — each address space starts with a cold cache
     decode_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    #: page table: page index -> the VMA covering that page; built from
+    #: ``vmas`` on construction and kept in step by mmap/munmap/mprotect
+    _table: dict[int, VMA] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        for vma in self.vmas:
+            self._map_pages(vma)
 
     # ------------------------------------------------------------------
     # VMA management
 
     def find_vma(self, address: int) -> VMA | None:
-        for vma in self.vmas:
-            if vma.contains(address):
-                return vma
-        return None
+        return self._table.get(address >> PAGE_SHIFT)
 
     def mmap(
         self,
@@ -123,13 +142,16 @@ class AddressSpace:
         end = start + _page_round_up(size)
         if start % PAGE_SIZE:
             raise ValueError(f"mmap start {start:#x} not page aligned")
-        for vma in self.vmas:
-            if vma.overlaps(start, end):
-                raise MemoryFault(start, "map", f"overlaps {vma.describe()}")
+        indices = range(start >> PAGE_SHIFT, end >> PAGE_SHIFT)
+        for index in indices:
+            mapped = self._table.get(index)
+            if mapped is not None:
+                raise MemoryFault(start, "map", f"overlaps {mapped.describe()}")
         vma = VMA(start, end, perms, backing, tag)
         self.vmas.append(vma)
         self.vmas.sort(key=lambda v: v.start)
-        for index in range(start >> PAGE_SHIFT, end >> PAGE_SHIFT):
+        self._map_pages(vma)
+        for index in indices:
             self.pages.setdefault(index, bytearray(PAGE_SIZE))
         if "x" in perms:
             self.code_epoch += 1
@@ -141,38 +163,37 @@ class AddressSpace:
         if start % PAGE_SIZE:
             raise ValueError(f"munmap start {start:#x} not page aligned")
         touched_exec = False
-        new_vmas: list[VMA] = []
+        kept: list[VMA] = []
+        pieces: list[VMA] = []
         for vma in self.vmas:
             if not vma.overlaps(start, end):
-                new_vmas.append(vma)
+                kept.append(vma)
                 continue
             touched_exec = touched_exec or vma.executable
             if vma.start < start:
-                new_vmas.append(replace(vma, end=start))
+                pieces.append(replace(vma, end=start))
             if vma.end > end:
-                tail_backing = vma.backing
-                if tail_backing is not None:
-                    tail_backing = replace(
-                        tail_backing, offset=tail_backing.offset + (end - vma.start)
-                    )
-                new_vmas.append(replace(vma, start=end, backing=tail_backing))
-        self.vmas = sorted(new_vmas, key=lambda v: v.start)
+                pieces.append(_tail(vma, end))
+        self._replace_vmas(kept, pieces)
         for index in range(start >> PAGE_SHIFT, end >> PAGE_SHIFT):
-            if not self._page_mapped(index):
-                self.pages.pop(index, None)
+            self._table.pop(index, None)
+            self.pages.pop(index, None)
         if touched_exec:
             self.code_epoch += 1
 
     def mprotect(self, start: int, size: int, perms: str) -> None:
         """Change permissions on ``[start, start+size)``."""
         end = start + _page_round_up(size)
-        updated: list[VMA] = []
+        touched_exec = False
+        kept: list[VMA] = []
+        pieces: list[VMA] = []
         for vma in self.vmas:
             if not vma.overlaps(start, end):
-                updated.append(vma)
+                kept.append(vma)
                 continue
+            touched_exec = touched_exec or vma.executable or "x" in perms
             if vma.start < start:
-                updated.append(replace(vma, end=start))
+                pieces.append(replace(vma, end=start))
             mid_start = max(vma.start, start)
             mid_end = min(vma.end, end)
             mid_backing = vma.backing
@@ -180,22 +201,22 @@ class AddressSpace:
                 mid_backing = replace(
                     mid_backing, offset=mid_backing.offset + (mid_start - vma.start)
                 )
-            updated.append(
-                VMA(mid_start, mid_end, perms, mid_backing, vma.tag)
-            )
+            pieces.append(VMA(mid_start, mid_end, perms, mid_backing, vma.tag))
             if vma.end > end:
-                tail_backing = vma.backing
-                if tail_backing is not None:
-                    tail_backing = replace(
-                        tail_backing, offset=tail_backing.offset + (end - vma.start)
-                    )
-                updated.append(replace(vma, start=end, backing=tail_backing))
-        self.vmas = sorted(updated, key=lambda v: v.start)
-        self.code_epoch += 1
+                pieces.append(_tail(vma, end))
+        self._replace_vmas(kept, pieces)
+        if touched_exec:
+            self.code_epoch += 1
 
-    def _page_mapped(self, index: int) -> bool:
-        address = index << PAGE_SHIFT
-        return any(vma.contains(address) for vma in self.vmas)
+    def _replace_vmas(self, kept: list[VMA], pieces: list[VMA]) -> None:
+        """Install ``kept + pieces`` as the VMA list; table the pieces."""
+        self.vmas = sorted(kept + pieces, key=lambda v: v.start)
+        for vma in pieces:
+            self._map_pages(vma)
+
+    def _map_pages(self, vma: VMA) -> None:
+        indices = range(vma.start >> PAGE_SHIFT, vma.end >> PAGE_SHIFT)
+        self._table.update(dict.fromkeys(indices, vma))
 
     def find_free_range(self, size: int, hint: int = 0x7F00_0000_0000) -> int:
         """Find an unmapped, page-aligned range of ``size`` bytes."""
@@ -210,19 +231,45 @@ class AddressSpace:
 
     # ------------------------------------------------------------------
     # checked access (guest loads/stores)
+    #
+    # Each of read/write/fetch first tries the single-page fast path; an
+    # access that straddles a page or would fault falls through to the
+    # checked walk, which alone raises MemoryFault.
 
     def read(self, address: int, size: int) -> bytes:
+        offset = address & _PAGE_MASK
+        if offset + size <= PAGE_SIZE:
+            index = address >> PAGE_SHIFT
+            vma = self._table.get(index)
+            if vma is not None and "r" in vma.perms:
+                return bytes(self.pages[index][offset:offset + size])
         self._check(address, size, "read")
         return self._read_raw(address, size)
 
     def write(self, address: int, data: bytes) -> None:
-        self._check(address, len(data), "write")
+        size = len(data)
+        offset = address & _PAGE_MASK
+        if offset + size <= PAGE_SIZE:
+            index = address >> PAGE_SHIFT
+            vma = self._table.get(index)
+            if vma is not None and "w" in vma.perms:
+                self.pages[index][offset:offset + size] = data
+                if size and "x" in vma.perms:
+                    self.code_epoch += 1
+                return
+        self._check(address, size, "write")
         self._write_raw(address, data)
-        if self._range_executable(address, len(data)):
+        if self._range_executable(address, size):
             self.code_epoch += 1
 
     def fetch(self, address: int, size: int) -> bytes:
         """Instruction fetch: requires execute permission."""
+        offset = address & _PAGE_MASK
+        if offset + size <= PAGE_SIZE:
+            index = address >> PAGE_SHIFT
+            vma = self._table.get(index)
+            if vma is not None and "x" in vma.perms:
+                return bytes(self.pages[index][offset:offset + size])
         vma = self.find_vma(address)
         if vma is None:
             raise MemoryFault(address, "exec", "unmapped")
@@ -234,11 +281,17 @@ class AddressSpace:
         return self._read_raw(address, size)
 
     def read_cstring(self, address: int, limit: int = 65536) -> bytes:
-        """Read a NUL-terminated string (guest ``char*``)."""
+        """Read a NUL-terminated string (guest ``char*``).
+
+        Chunks end at page boundaries, so a string that ends just before
+        an unmapped page reads fine, and the first byte that cannot be
+        read is where the fault is reported.
+        """
         out = bytearray()
         cursor = address
         while len(out) < limit:
-            chunk = self.read(cursor, min(256, limit - len(out)))
+            take = min(256, limit - len(out), PAGE_SIZE - (cursor & _PAGE_MASK))
+            chunk = self.read(cursor, take)
             nul = chunk.find(b"\x00")
             if nul >= 0:
                 out += chunk[:nul]
@@ -271,8 +324,13 @@ class AddressSpace:
             cursor = vma.end
 
     def _range_executable(self, address: int, size: int) -> bool:
-        for vma in self.vmas:
-            if vma.executable and vma.overlaps(address, address + size):
+        """Whether ``[address, address+size)`` touches an executable page."""
+        if size <= 0:
+            return False
+        last = (address + size - 1) >> PAGE_SHIFT
+        for index in range(address >> PAGE_SHIFT, last + 1):
+            vma = self._table.get(index)
+            if vma is not None and vma.executable:
                 return True
         return False
 
@@ -280,12 +338,17 @@ class AddressSpace:
     # raw access (kernel/loader/checkpoint: no permission checks)
 
     def _read_raw(self, address: int, size: int) -> bytes:
+        offset = address & _PAGE_MASK
+        if offset + size <= PAGE_SIZE:
+            page = self.pages.get(address >> PAGE_SHIFT)
+            if page is not None:
+                return bytes(page[offset:offset + size])
         out = bytearray()
         cursor = address
         remaining = size
         while remaining:
             index = cursor >> PAGE_SHIFT
-            offset = cursor & (PAGE_SIZE - 1)
+            offset = cursor & _PAGE_MASK
             take = min(remaining, PAGE_SIZE - offset)
             page = self.pages.get(index)
             if page is None:
@@ -300,7 +363,7 @@ class AddressSpace:
         pos = 0
         while pos < len(data):
             index = cursor >> PAGE_SHIFT
-            offset = cursor & (PAGE_SIZE - 1)
+            offset = cursor & _PAGE_MASK
             take = min(len(data) - pos, PAGE_SIZE - offset)
             page = self.pages.get(index)
             if page is None:
@@ -323,7 +386,7 @@ class AddressSpace:
     # whole-space operations
 
     def clone(self) -> "AddressSpace":
-        """Deep copy (fork)."""
+        """Deep copy (fork); the copy builds its own page table."""
         return AddressSpace(
             pages={index: bytearray(page) for index, page in self.pages.items()},
             vmas=[replace(vma) for vma in self.vmas],
@@ -336,6 +399,14 @@ class AddressSpace:
     def describe_maps(self) -> str:
         """A ``/proc/pid/maps``-style listing."""
         return "\n".join(vma.describe() for vma in self.vmas)
+
+
+def _tail(vma: VMA, end: int) -> VMA:
+    """The part of ``vma`` from ``end`` on, with its file offset moved."""
+    backing = vma.backing
+    if backing is not None:
+        backing = replace(backing, offset=backing.offset + (end - vma.start))
+    return replace(vma, start=end, backing=backing)
 
 
 def _page_round_up(value: int) -> int:

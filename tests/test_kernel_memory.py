@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.kernel import AddressSpace, FileBacking, MemoryFault, PAGE_SIZE
+from repro.kernel.memory import VMA
 
 BASE = 0x400000
 
@@ -120,6 +123,20 @@ class TestAccess:
         with pytest.raises(MemoryFault):
             memory.read_cstring(BASE, limit=PAGE_SIZE // 2)
 
+    def test_read_cstring_ending_at_mapping_end(self):
+        memory = AddressSpace()
+        memory.mmap(0x10000, PAGE_SIZE, "rw-")
+        memory.write(0x10FF8, b"hello\x00")
+        assert memory.read_cstring(0x10FF8) == b"hello"
+
+    def test_read_cstring_faults_at_first_unmapped_byte(self):
+        memory = AddressSpace()
+        memory.mmap(0x10000, PAGE_SIZE, "rw-")
+        memory.write(0x10FF8, b"x" * 8)
+        with pytest.raises(MemoryFault) as excinfo:
+            memory.read_cstring(0x10FF8)
+        assert (excinfo.value.address, excinfo.value.reason) == (0x11000, "unmapped")
+
     def test_raw_access_ignores_permissions(self):
         memory = AddressSpace()
         memory.mmap(BASE, PAGE_SIZE, "---")
@@ -145,6 +162,19 @@ class TestCodeEpoch:
         space.mprotect(BASE, PAGE_SIZE, "r-x")
         assert space.code_epoch > before
 
+    def test_mprotect_of_data_keeps_epoch(self, space):
+        before = space.code_epoch
+        space.mprotect(BASE, PAGE_SIZE, "r--")
+        space.mprotect(BASE + 0x100000, PAGE_SIZE, "r-x")  # nothing mapped
+        assert space.code_epoch == before
+
+    def test_mprotect_away_from_exec_bumps_epoch(self):
+        memory = AddressSpace()
+        memory.mmap(BASE, 2 * PAGE_SIZE, "r-x")
+        before = memory.code_epoch
+        memory.mprotect(BASE + PAGE_SIZE, PAGE_SIZE, "r--")
+        assert memory.code_epoch == before + 1
+
     def test_mprotect_changes_perms_mid_region(self, space):
         space.mprotect(BASE + PAGE_SIZE, PAGE_SIZE, "r--")
         assert space.find_vma(BASE).perms == "rw-"
@@ -169,3 +199,249 @@ class TestClone:
         listing = space.describe_maps()
         assert f"{BASE:#014x}" in listing
         assert "rw-" in listing
+
+
+# ----------------------------------------------------------------------
+# Differential test: AddressSpace (page table + single-page fast paths)
+# against a linear-scan model that checks every byte on its own.
+
+
+class LinearModel:
+    """The reference: VMAs found by linear scan, accesses byte by byte.
+
+    An access faults at its first byte that is unmapped or lacks the
+    permission; a store touching any executable byte bumps the epoch (an
+    empty store touches none); ``mprotect`` bumps it only when its range
+    overlaps a VMA that is executable before or after the change.
+    """
+
+    def __init__(self):
+        self.vmas: list[VMA] = []
+        self.data: dict[int, int] = {}      # mapped address -> byte
+        self.code_epoch = 0
+
+    def clone(self):
+        other = LinearModel()
+        other.vmas = [replace(vma) for vma in self.vmas]
+        other.data = dict(self.data)
+        other.code_epoch = self.code_epoch
+        return other
+
+    def find_vma(self, address):
+        for vma in self.vmas:
+            if vma.start <= address < vma.end:
+                return vma
+        return None
+
+    def _overlapping(self, start, end):
+        return [vma for vma in self.vmas if vma.start < end and start < vma.end]
+
+    def mmap(self, start, size, perms, backing=None):
+        end = start + -(-size // PAGE_SIZE) * PAGE_SIZE
+        if start % PAGE_SIZE:
+            raise ValueError("unaligned")
+        clash = self._overlapping(start, end)
+        if clash:
+            raise MemoryFault(start, "map", f"overlaps {clash[0].describe()}")
+        self.vmas = sorted(
+            self.vmas + [VMA(start, end, perms, backing)], key=lambda v: v.start
+        )
+        self.data.update(dict.fromkeys(range(start, end), 0))
+        if "x" in perms:
+            self.code_epoch += 1
+
+    def _split(self, vma, start, end, middle_perms):
+        pieces = []
+        if vma.start < start:
+            pieces.append(replace(vma, end=start))
+        if middle_perms is not None:
+            lo, hi = max(vma.start, start), min(vma.end, end)
+            backing = vma.backing
+            if backing is not None:
+                backing = replace(backing, offset=backing.offset + lo - vma.start)
+            pieces.append(VMA(lo, hi, middle_perms, backing, vma.tag))
+        if vma.end > end:
+            backing = vma.backing
+            if backing is not None:
+                backing = replace(backing, offset=backing.offset + end - vma.start)
+            pieces.append(replace(vma, start=end, backing=backing))
+        return pieces
+
+    def munmap(self, start, size):
+        end = start + -(-size // PAGE_SIZE) * PAGE_SIZE
+        if start % PAGE_SIZE:
+            raise ValueError("unaligned")
+        hit = self._overlapping(start, end)
+        kept = [vma for vma in self.vmas if vma not in hit]
+        for vma in hit:
+            kept += self._split(vma, start, end, None)
+        self.vmas = sorted(kept, key=lambda v: v.start)
+        for address in range(start, end):
+            self.data.pop(address, None)
+        if any(vma.executable for vma in hit):
+            self.code_epoch += 1
+
+    def mprotect(self, start, size, perms):
+        end = start + -(-size // PAGE_SIZE) * PAGE_SIZE
+        hit = self._overlapping(start, end)
+        kept = [vma for vma in self.vmas if vma not in hit]
+        for vma in hit:
+            kept += self._split(vma, start, end, perms)
+        self.vmas = sorted(kept, key=lambda v: v.start)
+        if hit and ("x" in perms or any(vma.executable for vma in hit)):
+            self.code_epoch += 1
+
+    def _check(self, address, size, access, flag, denied):
+        for cursor in range(address, address + size):
+            vma = self.find_vma(cursor)
+            if vma is None:
+                raise MemoryFault(cursor, access, "unmapped")
+            if flag not in vma.perms:
+                raise MemoryFault(cursor, access, f"{denied} ({vma.perms})")
+
+    def read(self, address, size):
+        self._check(address, size, "read", "r", "permission")
+        return bytes(self.data[a] for a in range(address, address + size))
+
+    def fetch(self, address, size):
+        # even an empty fetch needs its address executable
+        self._check(address, max(size, 1), "exec", "x", "not executable")
+        return bytes(self.data[a] for a in range(address, address + size))
+
+    def write(self, address, data):
+        self._check(address, len(data), "write", "w", "permission")
+        self.write_raw(address, data)
+
+    def read_raw(self, address, size):
+        for cursor in range(address, address + size):
+            if cursor not in self.data:
+                raise MemoryFault(cursor, "read", "page not present")
+        return bytes(self.data[a] for a in range(address, address + size))
+
+    def write_raw(self, address, data):
+        for cursor, byte in enumerate(data, address):
+            if cursor not in self.data:
+                raise MemoryFault(cursor, "write", "page not present")
+            self.data[cursor] = byte
+        if any(
+            (vma := self.find_vma(a)) is not None and vma.executable
+            for a in range(address, address + len(data))
+        ):
+            self.code_epoch += 1
+
+    def read_cstring(self, address, limit):
+        out = bytearray()
+        for cursor in range(address, address + limit):
+            byte = self.read(cursor, 1)[0]
+            if byte == 0:
+                return bytes(out)
+            out.append(byte)
+        raise MemoryFault(address, "read", "unterminated string")
+
+
+DIFF_BASE = 0x10000
+DIFF_PAGES = 8
+PERMS = ("r--", "rw-", "r-x", "rwx", "---", "-w-", "--x")
+
+_page = st.integers(0, DIFF_PAGES)
+#: ``back`` bytes before the end of a page
+_near_page_end = st.builds(
+    lambda page, back: DIFF_BASE + (page + 1) * PAGE_SIZE - back,
+    _page, st.integers(1, 16),
+)
+_address = st.one_of(
+    _near_page_end,
+    st.builds(
+        lambda page, offset: DIFF_BASE + page * PAGE_SIZE + offset,
+        _page, st.integers(0, PAGE_SIZE - 1),
+    ),
+)
+_access = st.one_of(
+    # ends exactly at a page end, or up to 3 bytes past it
+    st.builds(
+        lambda page, back, over: (DIFF_BASE + (page + 1) * PAGE_SIZE - back, back + over),
+        _page, st.integers(1, 16), st.integers(0, 3),
+    ),
+    st.tuples(_address, st.one_of(st.integers(0, 17), st.integers(0, 2 * PAGE_SIZE))),
+)
+_span = st.tuples(_page, st.integers(1, 3))
+_ops = st.one_of(
+    st.tuples(st.just("mmap"), _span, st.sampled_from(PERMS), st.booleans()),
+    st.tuples(st.just("munmap"), _span),
+    st.tuples(st.just("mprotect"), _span, st.sampled_from(PERMS), st.booleans()),
+    st.tuples(st.sampled_from(["read", "fetch", "read_raw"]), _access),
+    st.tuples(
+        st.sampled_from(["write", "write_raw"]),
+        st.tuples(_address, st.binary(max_size=20)),
+    ),
+    st.tuples(
+        st.just("read_cstring"), st.tuples(_address, st.integers(1, PAGE_SIZE + 300))
+    ),
+    st.tuples(st.just("clone")),
+)
+
+
+def _call(target, op):
+    """Apply ``op``; return ("ok", value) or the fault/error it raised."""
+    name = op[0]
+    try:
+        if name in ("mmap", "munmap", "mprotect"):
+            page, count = op[1]
+            start, size = DIFF_BASE + page * PAGE_SIZE, count * PAGE_SIZE - 5
+            if name == "mmap":
+                backing = FileBacking("bin", 0x3000) if op[3] else None
+                target.mmap(start, size, op[2], backing=backing)
+            elif name == "munmap":
+                target.munmap(start, size)
+            else:
+                target.mprotect(start + (3 if op[3] else 0), size, op[2])
+            return ("ok", None)
+        return ("ok", getattr(target, name)(*op[1]))
+    except MemoryFault as fault:
+        return ("fault", fault.address, fault.access, fault.reason)
+    except ValueError:
+        return ("value-error",)
+
+
+def _assert_same(space, model):
+    assert space.vmas == model.vmas
+    assert space.code_epoch == model.code_epoch
+    for page in range(-1, DIFF_PAGES + 4):
+        for address in (DIFF_BASE + page * PAGE_SIZE, DIFF_BASE + page * PAGE_SIZE + 77):
+            assert space.find_vma(address) == model.find_vma(address)
+    # the table points at the VMA objects of the list, page by page
+    for vma in space.vmas:
+        for address in range(vma.start, vma.end, PAGE_SIZE):
+            assert space.find_vma(address) is vma
+
+
+class TestDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_ops, min_size=1, max_size=40))
+    def test_fast_path_matches_linear_model(self, ops):
+        space, model = AddressSpace(), LinearModel()
+        # pages 1-2 data, 3 text, 5 rwx; gaps at 0, 4 and 6 on
+        for first, count, perms in ((1, 2, "rw-"), (3, 1, "r-x"), (5, 1, "rwx")):
+            for target in (space, model):
+                target.mmap(DIFF_BASE + first * PAGE_SIZE, count * PAGE_SIZE, perms)
+        pairs = [(space, model)]
+        for op in ops:
+            if op[0] == "clone":
+                child = space.clone()
+                for vma in space.vmas:
+                    for address in range(vma.start, vma.end, PAGE_SIZE):
+                        assert child.find_vma(address) is not space.find_vma(address)
+                        index = address // PAGE_SIZE
+                        assert child.pages[index] is not space.pages[index]
+                space, model = child, model.clone()
+                pairs.append((space, model))
+                continue
+            assert _call(space, op) == _call(model, op), op
+            _assert_same(space, model)
+        # every earlier space kept its own state while later clones changed
+        for old_space, old_model in pairs:
+            _assert_same(old_space, old_model)
+            for vma in old_space.vmas:
+                assert old_space.read_raw(vma.start, vma.size) == old_model.read_raw(
+                    vma.start, vma.size
+                )
