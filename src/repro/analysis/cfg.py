@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import Any, Callable, TypeVar
 
-from .. import telemetry
 from ..binfmt.self_format import SelfImage
 from ..isa.disassembler import DecodedInstruction, disassemble_one
 from ..isa.encoding import DecodeError
@@ -192,8 +192,8 @@ def image_digest(image: SelfImage) -> str:
     Covers every segment's bytes, the entry point, symbols, PLT stubs,
     and dynamic relocations — two images with equal digests produce
     identical CFGs *and* identical dataflow results, which is what
-    makes :func:`cached_cfg` (and the DynaFlow report cache) safe
-    across rewrites: a patched segment changes the digest.
+    makes :func:`memoized` safe across rewrites: a patched segment
+    changes the digest.
     """
     h = hashlib.sha256()
     h.update(image.entry.to_bytes(8, "little"))
@@ -218,32 +218,40 @@ def image_digest(image: SelfImage) -> str:
     return h.hexdigest()
 
 
-#: digest → recovered CFG, shared by every linter/analyzer instance
-_CFG_CACHE: dict[str, ControlFlowGraph] = {}
-_CFG_CACHE_LIMIT = 64
+#: (analysis, image name, image digest) → result, shared by every
+#: caller in the process; the oldest entry goes first when it is full
+_MEMO: dict[tuple[str, str, str], Any] = {}
+_MEMO_LIMIT = 128
+
+T = TypeVar("T")
+
+
+def memoized(
+    analysis: str, image: SelfImage, compute: Callable[[SelfImage], T]
+) -> T:
+    """``compute(image)``, run once per image name and content.
+
+    The one memo behind CFG recovery, the DynaFlow value-set report and
+    register liveness.  The key is :func:`image_digest`, so a rewritten
+    image never hits a stale entry, plus the image's name, which the
+    digest leaves out but every result records.  Results are shared:
+    callers must not mutate them.
+    """
+    key = (analysis, image.name, image_digest(image))
+    if key in _MEMO:
+        return _MEMO[key]
+    result = compute(image)
+    if len(_MEMO) >= _MEMO_LIMIT:
+        _MEMO.pop(next(iter(_MEMO)))
+    _MEMO[key] = result
+    return result
 
 
 def cached_cfg(image: SelfImage) -> ControlFlowGraph:
-    """``build_cfg`` with a content-digest cache.
-
-    CFG recovery is the dominant cost of linting a checkpoint; the same
-    pristine binary is decoded once per lint invocation otherwise.  The
-    cache key is :func:`image_digest`, so a rewritten image never hits
-    a stale entry.
-    """
-    digest = image_digest(image)
-    cached = _CFG_CACHE.get(digest)
-    if cached is not None:
-        telemetry.count("cfg_cache_hits", image=image.name)
-        return cached
-    telemetry.count("cfg_cache_misses", image=image.name)
-    cfg = CfgBuilder(image).build()
-    if len(_CFG_CACHE) >= _CFG_CACHE_LIMIT:
-        _CFG_CACHE.pop(next(iter(_CFG_CACHE)))
-    _CFG_CACHE[digest] = cfg
-    return cfg
+    """:func:`build_cfg` through the analysis memo."""
+    return memoized("cfg", image, build_cfg)
 
 
 def total_basic_blocks(image: SelfImage) -> int:
     """Figure 9's "total BB" metric for one binary."""
-    return build_cfg(image).block_count
+    return cached_cfg(image).block_count

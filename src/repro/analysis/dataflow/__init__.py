@@ -21,7 +21,7 @@ from .framework import (
     solve,
 )
 from .hazards import HAZARD_RULES, StoreHazard, classify_store
-from .lattice import ValueSet, join_all
+from .lattice import ValueSet
 from .liveness import LivenessResult, block_liveness, live_in_registers
 from .regions import FunctionRegion, RegionMap
 from .valueset import (
@@ -44,7 +44,6 @@ __all__ = [
     "StoreHazard",
     "classify_store",
     "ValueSet",
-    "join_all",
     "LivenessResult",
     "block_liveness",
     "live_in_registers",

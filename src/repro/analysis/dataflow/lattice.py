@@ -333,9 +333,3 @@ class ValueSet:
             return ValueSet.const_set(values, code=code)
         return ValueSet(global_top=True, code=code)
 
-
-def join_all(values: "list[ValueSet]") -> ValueSet:
-    out = ValueSet.bottom()
-    for value in values:
-        out = out.join(value)
-    return out

@@ -24,10 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ...binfmt.self_format import SelfImage
-from ..cfg import ControlFlowGraph, build_cfg
+from ..cfg import cached_cfg, memoized
 from .framework import DataflowProblem, Direction, solve
 from .regions import RegionMap
-from .valueset import CALLER_SAVED, FP, SP
+from .valueset import CALLER_SAVED, SP
 
 RegSet = frozenset[int]
 
@@ -96,13 +96,13 @@ class LivenessResult:
         return self.live_in.get(block_start, ALL_REGS)
 
 
-def block_liveness(
-    image: SelfImage, cfg: ControlFlowGraph | None = None
-) -> LivenessResult:
-    """Solve register liveness per function region of ``image``."""
-    if cfg is None:
-        cfg = build_cfg(image)
-    regions = RegionMap(image, cfg)
+def block_liveness(image: SelfImage) -> LivenessResult:
+    """Register liveness per function region of ``image`` (memoized)."""
+    return memoized("liveness", image, _solve_liveness)
+
+
+def _solve_liveness(image: SelfImage) -> LivenessResult:
+    regions = RegionMap(image, cached_cfg(image))
     live_in: dict[int, RegSet] = {}
     live_out: dict[int, RegSet] = {}
 
@@ -134,8 +134,6 @@ def block_liveness(
     return LivenessResult(image.name, live_in, live_out)
 
 
-def live_in_registers(
-    image: SelfImage, address: int, cfg: ControlFlowGraph | None = None
-) -> RegSet:
+def live_in_registers(image: SelfImage, address: int) -> RegSet:
     """Live registers on entry to the block starting at ``address``."""
-    return block_liveness(image, cfg).live_in_of(address)
+    return block_liveness(image).live_in_of(address)

@@ -136,7 +136,6 @@ class ImageLinter:
         self.kernel = kernel
         self.checkpoint = checkpoint
         self.report = LintReport()
-        self._cfgs: dict[str, ControlFlowGraph] = {}
 
     # ------------------------------------------------------------------
 
@@ -159,11 +158,6 @@ class ImageLinter:
         self.report.diagnostics.append(
             LintDiagnostic(code, pid, address, message, severity)
         )
-
-    def _cfg(self, module: str, binary: SelfImage) -> ControlFlowGraph:
-        if module not in self._cfgs:
-            self._cfgs[module] = cached_cfg(binary)
-        return self._cfgs[module]
 
     # ------------------------------------------------------------------
     # DL1xx: code-patch checks
@@ -225,7 +219,7 @@ class ImageLinter:
         if not patched:
             return
 
-        cfg = self._cfg(module, binary)
+        cfg = cached_cfg(binary)
         starts, extents = self._instruction_map(cfg, binary, seg)
         run_member = patched | cc_same
         for offset in sorted(patched):
@@ -418,7 +412,7 @@ class ImageLinter:
 
         for module, base in sorted(self._module_bases(image).items()):
             binary = self.kernel.binaries[module]
-            flow = analyze_image_flow(binary, self._cfg(module, binary))
+            flow = analyze_image_flow(binary)
             for hazard in flow.hazards:
                 self._emit(
                     hazard.code, image.pid, base + hazard.address,

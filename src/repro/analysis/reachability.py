@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 from .. import telemetry
 from ..binfmt.self_format import ImageKind, SelfImage
 from ..tracing.drcov import BlockRecord
-from .cfg import BasicBlock, ControlFlowGraph, build_cfg
+from .cfg import BasicBlock, ControlFlowGraph, cached_cfg
 from .dominators import collectively_dominated
 
 if TYPE_CHECKING:
@@ -207,7 +207,6 @@ def refine_removal_set(
     binary: SelfImage,
     records: list[BlockRecord],
     entries: list[BlockRecord] | None = None,
-    cfg: ControlFlowGraph | None = None,
     prove: bool = False,
 ) -> RemovalClassification:
     """Classify a dynamic removal set for one module.
@@ -226,8 +225,7 @@ def refine_removal_set(
     map (see the module docstring).  The result's ``mode`` records
     whether the proof ran, fell back, or was never requested.
     """
-    if cfg is None:
-        cfg = build_cfg(binary)
+    cfg = cached_cfg(binary)
     entries = entries or []
 
     removed_starts: set[int] = set()
@@ -252,7 +250,7 @@ def refine_removal_set(
     if prove:
         from .dataflow.valueset import analyze_image_flow
 
-        flow = analyze_image_flow(binary, cfg)
+        flow = analyze_image_flow(binary)
         fallback_reason = _prove_obstacle(flow)
         if fallback_reason is None:
             mode = "prove"

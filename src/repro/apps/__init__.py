@@ -10,7 +10,6 @@ from .httpd_lighttpd import LIGHTTPD_BINARY, LIGHTTPD_PORT, build_minilight
 from .httpd_nginx import NGINX_BINARY, NGINX_PORT, build_mininginx
 from .spec import benchmark_names, get_benchmark
 from .toolchain import (
-    all_images,
     libc_image,
     lighttpd_image,
     nginx_image,
@@ -32,7 +31,6 @@ __all__ = [
     "NGINX_PORT",
     "REDIS_BINARY",
     "REDIS_PORT",
-    "all_images",
     "benchmark_names",
     "build_libc",
     "build_minilight",

@@ -15,7 +15,7 @@ from ..kernel.kernel import Kernel
 from ..kernel.process import Process
 from . import httpd_lighttpd, httpd_nginx, kvstore
 from .libc import build_libc
-from .spec import benchmark_names, get_benchmark
+from .spec import get_benchmark
 
 
 @lru_cache(maxsize=None)
@@ -41,20 +41,6 @@ def nginx_image() -> SelfImage:
 @lru_cache(maxsize=None)
 def spec_image(name: str) -> SelfImage:
     return get_benchmark(name).build(libc_image())
-
-
-def all_images() -> dict[str, SelfImage]:
-    """Every buildable binary, keyed by registry name."""
-    images = {
-        "libc.so": libc_image(),
-        kvstore.REDIS_BINARY: redis_image(),
-        httpd_lighttpd.LIGHTTPD_BINARY: lighttpd_image(),
-        httpd_nginx.NGINX_BINARY: nginx_image(),
-    }
-    for name in benchmark_names():
-        bench = get_benchmark(name)
-        images[bench.binary] = spec_image(name)
-    return images
 
 
 # ----------------------------------------------------------------------

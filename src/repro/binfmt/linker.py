@@ -23,7 +23,6 @@ PLT stub shape (15 bytes)::
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 from ..isa.encoding import encode_fields
 from ..isa.instructions import SPEC_BY_MNEMONIC
@@ -55,15 +54,6 @@ _SECTION_PERMS = {
 
 class LinkError(ValueError):
     """Raised on unresolved or conflicting symbols, or layout errors."""
-
-
-@dataclass(frozen=True)
-class _Placement:
-    """Where a module's chunk of a section landed in the merged section."""
-
-    module: str
-    section: str
-    offset: int
 
 
 class Linker:

@@ -2,12 +2,7 @@
 
 from .lexer import LexError, Token, TokenKind, tokenize
 from .parser import ParseError, parse
-from .codegen import (
-    BUILTINS,
-    CompileError,
-    compile_source,
-    compile_to_assembly,
-)
+from .codegen import BUILTINS, CompileError, compile_source
 
 __all__ = [
     "BUILTINS",
@@ -17,7 +12,6 @@ __all__ = [
     "Token",
     "TokenKind",
     "compile_source",
-    "compile_to_assembly",
     "parse",
     "tokenize",
 ]

@@ -594,8 +594,3 @@ def compile_source(
     asm_text = CodeGenerator(program, module_name).generate(entry=entry)
     return assemble(asm_text, module_name)
 
-
-def compile_to_assembly(source: str, module_name: str, entry: bool = True) -> str:
-    """Compile MiniC to assembly text (for inspection and tests)."""
-    program = parse(source)
-    return CodeGenerator(program, module_name).generate(entry=entry)

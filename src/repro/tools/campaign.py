@@ -6,7 +6,7 @@ the hooks that turn unit records into its report.  The runner owns the
 rest:
 
 * every unit runs under its own fresh :class:`~repro.telemetry.TelemetryHub`
-  (:func:`run_recorded`), after one cache warm-up (:func:`warm_caches`);
+  (:func:`run_recorded`);
 * ``--check`` runs one quick seed and writes only to an explicit
   ``--output``, never over a committed result;
 * ``--check-determinism`` runs the campaign twice in this process and
@@ -32,11 +32,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .. import telemetry
-from ..analysis import cached_cfg
-from ..analysis.dataflow import analyze_image_flow
-from ..fleet import get_app
-from ..fleet.apps import profile_feature
-from ..kernel import Kernel
 from ..telemetry import TelemetryHub, to_jsonl
 
 
@@ -46,13 +41,13 @@ class Scenario:
 
     ``body(args, unit, hub)`` records one unit; ``summarize(args,
     records)`` builds the report from the records minus their ``_``
-    keys; ``describe(record)`` is the progress line; ``apps(args)`` are
-    the fleet apps to warm.  ``output`` is the committed report (``None``
-    writes only to an explicit ``--output``), ``check`` the quick sizes
-    ``--check`` applies, ``validate(args)`` explains invalid arguments,
-    ``units(args)`` lists ``(label, unit)`` pairs (default: one per
-    seed), ``streams(records, hubs)`` adds ``{suffix: text}`` sidecars
-    and ``figures(output, records, hubs)`` writes figures.
+    keys; ``describe(record)`` is the progress line.  ``output`` is the
+    committed report (``None`` writes only to an explicit ``--output``),
+    ``check`` the quick sizes ``--check`` applies, ``validate(args)``
+    explains invalid arguments, ``units(args)`` lists ``(label, unit)``
+    pairs (default: one per seed), ``streams(records, hubs)`` adds
+    ``{suffix: text}`` sidecars and ``figures(output, records, hubs)``
+    writes figures.
     """
 
     name: str
@@ -60,7 +55,6 @@ class Scenario:
     summarize: Callable[[argparse.Namespace, list[dict]], dict]
     describe: Callable[[dict], str]
     flags: Callable[[argparse.ArgumentParser], None]
-    apps: Callable[[argparse.Namespace], list[str]]
     seeds: int = 1
     seed_base: int = 0
     output: str | None = None
@@ -125,23 +119,6 @@ def run_recorded(
     return record, hub
 
 
-def warm_caches(apps: list[str]) -> None:
-    """Prime the process-wide profile, CFG and flow caches for ``apps``.
-
-    A recorded unit that finds them cold emits analysis telemetry
-    (``dynaflow.vsa`` spans, cache-miss counters) that a warm one does
-    not, so they are warmed once, before any unit records.
-    """
-    for name in apps:
-        app = get_app(name)
-        for feature in app.features:
-            profile_feature(app, feature)
-        scratch = Kernel()
-        app.stage(scratch, app.default_port)
-        for binary in scratch.binaries.values():
-            analyze_image_flow(binary, cached_cfg(binary))
-
-
 def run_campaign(
     scenario: Scenario, args: argparse.Namespace
 ) -> tuple[dict[str, str], dict, list[dict], list[TelemetryHub]]:
@@ -188,7 +165,6 @@ def run(scenario: Scenario, args: argparse.Namespace) -> int:
     if problem:
         print(f"{scenario.name}: {problem}")
         return 2
-    warm_caches(scenario.apps(args))
     texts, report, records, hubs = run_campaign(scenario, args)
     if args.check_determinism:
         replay = run_campaign(scenario, args)[0]

@@ -204,7 +204,6 @@ SCENARIO = Scenario(
     summarize=_summarize,
     describe=_describe,
     flags=_flags,
-    apps=lambda args: args.app or sorted(_STAGERS),
     seeds=10,
     seed_base=1000,
     output="results/chaos_campaign.json",

@@ -213,7 +213,6 @@ SCENARIOS = (
         summarize=single_report,
         describe=_describe_rollout,
         flags=_rollout_flags,
-        apps=lambda args: [args.app],
         seed_base=1234,
         output="results/fleet_rollout.json",
         check={"size": 2, "max_unavailable": 1, "duration": 20,
@@ -226,7 +225,6 @@ SCENARIOS = (
         summarize=single_report,
         describe=_describe_drift,
         flags=_flags(size=4, duration=12),
-        apps=lambda args: [args.app],
         check={"size": 2, "duration": 8, "probe_requests": 2},
     ),
 )

@@ -268,7 +268,6 @@ SCENARIO = Scenario(
     ),
     describe=_describe,
     flags=host_crash_flags,
-    apps=lambda args: ["redis"],
     seeds=3,
     seed_base=700,
     output="results/mesh_rollout.json",

@@ -258,7 +258,6 @@ SCENARIO = Scenario(
     ),
     describe=_describe,
     flags=_flags,
-    apps=lambda args: ["lighttpd"],
     seeds=3,
     seed_base=900,
     output="results/shelve_campaign.json",

@@ -208,7 +208,6 @@ SCENARIO = Scenario(
     ),
     describe=_describe,
     flags=_flags,
-    apps=lambda args: [args.app],
     seeds=20,
     seed_base=100,
     output="results/supervisor_chaos.json",

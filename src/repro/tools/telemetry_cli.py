@@ -311,7 +311,6 @@ SCENARIO = Scenario(
     ),
     describe=_describe,
     flags=_flags,
-    apps=lambda args: [args.app],
     seed_base=42,
     output="results/telemetry_rollout.json",
     validate=_validate,

@@ -306,7 +306,6 @@ SCENARIO = Scenario(
     ),
     describe=_describe,
     flags=host_crash_flags,
-    apps=lambda args: ["redis"],
     seeds=2,
     seed_base=900,
     output="results/trace_attribution.json",

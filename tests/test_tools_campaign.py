@@ -9,6 +9,8 @@ import shlex
 
 import pytest
 
+from repro.analysis import cfg as analysis_cfg
+from repro.fleet import apps as fleet_apps
 from repro.tools import campaign
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -52,8 +54,10 @@ class TestCheckSizing:
 
 class TestDeterminism:
     def test_chaos_replays_byte_identical_in_one_process(self, tmp_path, capsys):
-        # a second in-process run used to find the flow cache warm and
-        # emit fewer dynaflow.vsa spans than the first
+        # run one starts with a cold analysis memo and profile cache,
+        # run two finds both warm: the streams must not tell them apart
+        analysis_cfg._MEMO.clear()
+        fleet_apps._PROFILE_CACHE.clear()
         out = tmp_path / "chaos.json"
         code = campaign.main([
             "chaos", "--app", "redis", "--seeds", "1",
